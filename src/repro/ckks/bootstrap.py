@@ -77,7 +77,8 @@ class Bootstrapper:
         coefficient vectors c), CoeffToSlot needs ``[A|B]`` such that
         ``A E + B conj(E) = [I | iI]`` and SlotToCoeff is the explicit
         inverse ``m = C w + D conj(w)`` with ``C = (E_lo - i E_hi)/2``
-        and ``D = (E_lo + i E_hi)/2``.
+        and ``D = (E_lo + i E_hi)/2``.  ``E`` is built uncached for
+        this one solve, so it is freed once the four matrices exist.
         """
         n = self.ctx.params.ring_degree
         slots = self.n_slots

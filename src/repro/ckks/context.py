@@ -137,7 +137,7 @@ class CkksContext:
         if scale is None:
             scale = float(2 ** p.scale_bits)
         coeffs = encoding.encode_to_coeffs(message, p.ring_degree, scale)
-        poly = rns.from_big_ints(list(coeffs), self.moduli_at(level),
+        poly = rns.from_big_ints(coeffs, self.moduli_at(level),
                                  p.ring_degree).to_eval()
         return Plaintext(poly, scale, level)
 

@@ -431,8 +431,12 @@ def compose_crt(poly: RnsPoly) -> list[int]:
     return [int(v) - big_q if v > half else int(v) for v in acc]
 
 
-def from_big_ints(coeffs: list[int], moduli, n: int | None = None) -> RnsPoly:
-    """Reduce big-integer coefficients into an RNS polynomial."""
+def from_big_ints(coeffs, moduli, n: int | None = None) -> RnsPoly:
+    """Reduce integer coefficients into an RNS polynomial.
+
+    ``coeffs`` is a list of Python ints, an object array, or an int64
+    array; the int64 array reduces limb by limb without boxing.
+    """
     if n is None:
         n = len(coeffs)
     limbs = [modmath.asresidues(coeffs, q) for q in moduli]
